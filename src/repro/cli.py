@@ -971,7 +971,9 @@ def _render_top(response: dict) -> str:
                 f"  rsg nodes={rsg.get('nodes')} arcs[{arc_txt}] "
                 f"history={rsg.get('history')} "
                 f"certified={rsg.get('certified')} "
-                f"rejected={rsg.get('rejected')}"
+                f"rejected={rsg.get('rejected')} "
+                f"forgets={rsg.get('forgets')} "
+                f"replayed={rsg.get('replayed')}"
             )
     return "\n".join(lines)
 

@@ -254,8 +254,8 @@ class RelativeAtomicitySpec:
         self._transactions = as_transaction_map(transactions)
         self._views: dict[tuple[int, int], Atomicity] = {}
         # Per-transaction breakpoint sets recorded by declare_transaction
-        # (the service's interactive growth path); used to materialize
-        # views against observers that arrive later.
+        # (the service's interactive growth path); atomicity() derives a
+        # declared transaction's view against any observer from them.
         self._declared_cuts: dict[int, tuple[int, ...]] = {}
         for (tx, observer), value in (views or {}).items():
             self._set_view(tx, observer, value)
@@ -269,11 +269,14 @@ class RelativeAtomicitySpec:
         their program (and optionally the breakpoints they expose) at
         ``begin`` time, long after the spec object was created.  The new
         transaction's ``cuts`` become its atomicity relative to *every*
-        other transaction — current and future: cut sets recorded here
-        are replayed against observers declared later, so the pairwise
-        views are independent of arrival order.
+        other transaction — current and future — so the pairwise views
+        are independent of arrival order.
 
-        Pairs left untouched keep the lazy default (absolute atomicity),
+        Only the validated cut set is recorded here: :meth:`atomicity`
+        derives the view of a pair on first use and caches it, so a
+        declaration costs the same however many transactions the spec
+        already holds, and views no caller reads are never built.  A
+        transaction declared without cuts is absolute towards everyone,
         exactly as with construction-time views.
 
         Raises:
@@ -291,15 +294,8 @@ class RelativeAtomicitySpec:
                     f"breakpoint {cut} of T{tx_id} is outside "
                     f"1..{len(transaction) - 1}"
                 )
-        others = list(self._transactions)
         self._transactions[tx_id] = transaction
         self._declared_cuts[tx_id] = cut_list
-        for other in others:
-            if cut_list:
-                self._set_view(tx_id, other, cut_list)
-            other_cuts = self._declared_cuts.get(other)
-            if other_cuts:
-                self._set_view(other, tx_id, other_cuts)
 
     def declared_cuts(self, tx_id: int) -> tuple[int, ...]:
         """The breakpoints recorded for ``T{tx_id}`` at declaration
@@ -348,7 +344,8 @@ class RelativeAtomicitySpec:
         return [self._transactions[tx_id] for tx_id in sorted(self._transactions)]
 
     def atomicity(self, tx: int, observer: int) -> Atomicity:
-        """``Atomicity(T{tx}, T{observer})`` (defaulting to absolute)."""
+        """``Atomicity(T{tx}, T{observer})``: the construction-time view,
+        else the one ``T{tx}``'s declared cuts induce, else absolute."""
         if tx == observer:
             raise InvalidSpecError(
                 f"Atomicity(T{tx}, T{observer}) relative to itself is invalid"
@@ -359,7 +356,12 @@ class RelativeAtomicitySpec:
             raise MissingSpecError(f"unknown observer T{observer}")
         view = self._views.get((tx, observer))
         if view is None:
-            view = Atomicity(tx, observer, len(self._transactions[tx]))
+            view = Atomicity(
+                tx,
+                observer,
+                len(self._transactions[tx]),
+                self._declared_cuts.get(tx, ()),
+            )
             self._views[(tx, observer)] = view
         return view
 
@@ -394,11 +396,12 @@ class RelativeAtomicitySpec:
     def restricted_to(self, tx_ids: Iterable[int]) -> "RelativeAtomicitySpec":
         """The spec induced on a subset of the transactions.
 
-        Views between surviving pairs are kept verbatim; views involving
-        a dropped transaction disappear with it.  This is how the fault
-        campaigns certify a *committed projection*: the survivors'
-        mutual atomicity requirements are unchanged by other
-        transactions' aborts.
+        Views between surviving pairs are kept verbatim, and so are the
+        surviving transactions' declared cuts; views involving a dropped
+        transaction disappear with it.  This is how the fault campaigns
+        certify a *committed projection*: the survivors' mutual
+        atomicity requirements are unchanged by other transactions'
+        aborts.
         """
         keep = set(tx_ids)
         unknown = keep.difference(self._transactions)
@@ -413,7 +416,11 @@ class RelativeAtomicitySpec:
             for (tx, observer), view in self._views.items()
             if tx in keep and observer in keep
         }
-        return RelativeAtomicitySpec(transactions, views)
+        restricted = RelativeAtomicitySpec(transactions, views)
+        restricted._declared_cuts = {
+            tx: cuts for tx, cuts in self._declared_cuts.items() if tx in keep
+        }
+        return restricted
 
     @property
     def is_absolute(self) -> bool:

@@ -491,6 +491,10 @@ class IncrementalRsg:
       extension stays cyclic; the stored witness remains valid).
     * ``pop`` — undo the latest push in O(#its-arcs): edge removal can
       never invalidate a topological order, so no restoration pass.
+    * ``forget`` — remove one transaction's operations from anywhere in
+      the history.  Only the victim's and its dependents' arc batches
+      are undone and only the dependents are re-derived; every other
+      survivor keeps its batch and is merely re-recorded.
 
     Per-operation ancestor bitsets double as the transitive
     ``depends-on`` closure, so a :class:`~repro.core.dependency.
@@ -898,46 +902,76 @@ class IncrementalRsg:
         """Undo the most recent push and return its operation."""
         if not self._history:
             raise GraphError("pop from an empty prefix")
-        op = self._history.pop()
-        self._hist_ids.pop()
-        n = len(self._history)
-        closed = self._closed.pop()
-        batch, prev_tx_pos, write_undo = self._log.pop()
+        op, _, _, batch = self._unrecord()
         if batch is not None:
             self._flat.undo_batch(batch)
             self._batch_pool.append(batch)
-        if self._uncertified_from is not None and self._uncertified_from >= n:
-            self._uncertified_from = None
-            self.acyclic = True
-            self._witness = None
-        if self._maintain_reach:
-            self._reach.pop()
-            mask = ~(1 << n)
-            reach = self._reach
-            bits = closed ^ (1 << n)
-            while bits:
-                low = bits & -bits
-                reach[low.bit_length() - 1] &= mask
-                bits ^= low
-        # Per-object trackers.
-        if prev_tx_pos is None:
-            del self._last_of_tx[op.tx]
-        else:
-            self._last_of_tx[op.tx] = prev_tx_pos
-        if write_undo is not None:
-            prev_write, prev_reads = write_undo
-            if prev_write is None:
-                del self._last_write[op.obj]
-            else:
-                self._last_write[op.obj] = prev_write
-            if prev_reads is None:
-                self._reads_since_write.pop(op.obj, None)
-            else:
-                self._reads_since_write[op.obj] = prev_reads
-        else:
-            self._reads_since_write[op.obj].pop()
-        self._mutations += 1
         return op
+
+    def forget(self, tx_id: int) -> int:
+        """Remove every pushed operation of ``T{tx_id}``, keeping the rest.
+
+        Leaves the survivors in their original order with the graph and
+        undo log a full pop-and-replay would give (only the maintained
+        topological order may differ), but re-derives arcs only for the
+        victim's *dependents*: survivors whose ancestor row meets a
+        victim position.  It walks the victim's chain of previous
+        positions in the undo log, pops back to the first of them,
+        undoes the arc batches of the victim and its dependents,
+        re-records every other popped survivor with the batch it kept
+        (trackers and closure row, no graph work), and re-pushes the
+        dependents through :meth:`try_push`.  ``docs/THEORY.md`` shows
+        why the kept batches stay exact.
+
+        Returns the number of dependents re-pushed.  A re-push cannot be
+        refused (the survivors' arcs are a subset of an acyclic arc
+        set); if one ever were, it and every later survivor are pushed
+        uncertified, so :attr:`history` still lists every survivor and
+        :attr:`acyclic` turns false for the caller to rebuild from.
+
+        Raises:
+            GraphError: on a cyclic prefix (see :meth:`push_uncertified`).
+        """
+        log = self._log
+        p = self._last_of_tx.get(tx_id)
+        if p is None:
+            return 0
+        if self._uncertified_from is not None:
+            raise GraphError("forget on a cyclic prefix")
+        victims = 0
+        while p is not None:
+            victims |= 1 << p
+            first = p
+            p = log[p][1]
+        undo_batch = self._flat.undo_batch
+        pool = self._batch_pool
+        # (op, node id, kept batch or None for a dependent), newest first.
+        popped: list[tuple[Operation, int, FlatBatch | None]] = []
+        while len(self._history) > first:
+            op, oid, closed, batch = self._unrecord()
+            if closed & victims:
+                undo_batch(batch)
+                pool.append(batch)
+                if op.tx != tx_id:
+                    popped.append((op, oid, None))
+            else:
+                popped.append((op, oid, batch))
+        replayed = 0
+        while popped:
+            op, oid, batch = popped.pop()
+            if batch is not None:
+                self._record(op, oid, self._ancestors_of(op), batch)
+            elif self.try_push(op):
+                replayed += 1
+            else:  # pragma: no cover - cannot be refused, see above
+                self.push_uncertified(op)
+                while popped:
+                    op, _, batch = popped.pop()
+                    if batch is not None:
+                        undo_batch(batch)
+                        pool.append(batch)
+                    self.push_uncertified(op)
+        return replayed
 
     # ------------------------------------------------------------------
     # Materialization
@@ -1116,6 +1150,50 @@ class IncrementalRsg:
         self._closed_append(anc | (1 << n))
         self._log_append((batch, prev_tx_pos, write_undo))
         self._mutations += 1
+
+    def _unrecord(self) -> tuple[Operation, int, int, FlatBatch | None]:
+        """Inverse of :meth:`_record`: drop the newest history entry and
+        restore the ancestor trackers, closure and (with
+        ``maintain_reach``) reach rows to their state before it.  The
+        arc batch is returned, not undone.  Returns ``(op, node id,
+        closure row, batch)``."""
+        op = self._history.pop()
+        oid = self._hist_ids.pop()
+        n = len(self._history)
+        closed = self._closed.pop()
+        batch, prev_tx_pos, write_undo = self._log.pop()
+        if self._uncertified_from is not None and self._uncertified_from >= n:
+            self._uncertified_from = None
+            self.acyclic = True
+            self._witness = None
+        if self._maintain_reach:
+            self._reach.pop()
+            mask = ~(1 << n)
+            reach = self._reach
+            bits = closed ^ (1 << n)
+            while bits:
+                low = bits & -bits
+                reach[low.bit_length() - 1] &= mask
+                bits ^= low
+        # Per-object trackers.
+        if prev_tx_pos is None:
+            del self._last_of_tx[op.tx]
+        else:
+            self._last_of_tx[op.tx] = prev_tx_pos
+        if write_undo is not None:
+            prev_write, prev_reads = write_undo
+            if prev_write is None:
+                del self._last_write[op.obj]
+            else:
+                self._last_write[op.obj] = prev_write
+            if prev_reads is None:
+                self._reads_since_write.pop(op.obj, None)
+            else:
+                self._reads_since_write[op.obj] = prev_reads
+        else:
+            self._reads_since_write[op.obj].pop()
+        self._mutations += 1
+        return op, oid, closed, batch
 
     # ------------------------------------------------------------------
     # Materialized view

@@ -10,19 +10,21 @@ granted history.  Used by :class:`~repro.protocols.rsgt.RSGTScheduler`
 The heavy lifting lives in :class:`~repro.core.rsg.IncrementalRsg`: a
 Pearce–Kelly incrementally ordered graph certifies each granted
 operation in amortized sub-linear time (no graph copy, no full DFS), and
-``forget`` (restarting a victim) pops the history back to the victim's
-first granted operation and replays the survivors — each pop and each
-replayed push costs O(#its-arcs).
+``forget`` (restarting a victim) is the engine's dependents-only
+removal: it undoes the arcs of the victim and of the survivors that
+depend on it, re-pushes only those dependents, and leaves every other
+survivor's arcs in place (see :meth:`IncrementalRsg.forget
+<repro.core.rsg.IncrementalRsg.forget>`).
 
 A key monotonicity fact makes online use sound: granting more operations
 only ever *adds* arcs, so an operation whose tentative insertion closes
 a cycle will close it forever — certification failures are final and the
-requester must abort, never wait.  The same fact makes forget-replay
-infallible: the survivors' arc set is a subset of the arcs the graph
-already held acyclically, so re-pushing them cannot close a cycle.  A
-from-scratch :meth:`RsgCertifier.rebuild` is kept purely as a defensive
-fallback (and for tests); :attr:`RsgCertifier.stats` records if it ever
-fires.
+requester must abort, never wait.  The same fact makes the re-pushes of
+``forget`` infallible: the survivors' arc set is a subset of the arcs
+the graph already held acyclically, so re-pushing them cannot close a
+cycle.  A from-scratch :meth:`RsgCertifier.rebuild` is kept purely as a
+defensive fallback (and for tests); :attr:`RsgCertifier.stats` records
+if it ever fires.
 """
 
 from __future__ import annotations
@@ -52,7 +54,10 @@ _REJECT_EXTRA = (("ok", False),)
 class CertifierStats:
     """Operational counters of one :class:`RsgCertifier`.
 
-    ``fallback_rebuilds`` should stay zero: forget-replay is provably
+    ``replayed`` counts the survivors ``forget`` re-pushed through the
+    engine's ``try_push`` (the victim's dependents; survivors that never
+    depended on the victim keep their arcs and are not counted).
+    ``fallback_rebuilds`` should stay zero: those re-pushes are provably
     infallible (see the module docstring), so a non-zero count means the
     defensive path fired on a bug worth investigating.
     """
@@ -119,19 +124,24 @@ class RsgCertifier:
         """A compact census of the in-flight RSG for live introspection.
 
         ``nodes``/``arcs`` describe the live graph (arc counts keyed by
-        I/D/F/B kind), ``history`` the certified-prefix length, and
-        ``certified``/``rejected`` the lifetime verdict counters.  Walks
-        the flat engine's arc masks — O(arcs), no graph materialization
-        — so the ``inspect`` service verb can call it on a busy server.
+        I/D/F/B kind), ``history`` the certified-prefix length,
+        ``certified``/``rejected`` the lifetime verdict counters, and
+        ``forgets``/``replayed`` the abort-path work (victims removed,
+        dependents re-pushed).  Walks the flat engine's arc masks —
+        O(arcs), no graph materialization — so the ``inspect`` service
+        verb can call it on a busy server.
         """
         arcs = self._engine.arc_census()
+        stats = self._stats
         return {
             "nodes": self._engine.node_count,
             "arcs": arcs,
             "arc_total": sum(arcs.values()),
             "history": len(self._engine),
-            "certified": self._stats.certified,
-            "rejected": self._stats.rejected,
+            "certified": stats.certified,
+            "rejected": stats.rejected,
+            "forgets": stats.forgets,
+            "replayed": stats.replayed,
         }
 
     # ------------------------------------------------------------------
@@ -245,33 +255,18 @@ class RsgCertifier:
         """Drop a victim's granted operations, keeping everyone else's.
 
         The transaction stays declared (its vertices and I-arcs remain),
-        matching restart semantics.  Implemented as suffix replay: pop
-        the history back to the victim's first granted operation, then
-        re-push the popped survivors — O(arcs touched), not O(graph).
+        matching restart semantics.  Delegates to the engine's
+        dependents-only :meth:`~repro.core.rsg.IncrementalRsg.forget`:
+        the cost is the victim's and its dependents' arcs plus record
+        keeping for the popped suffix, not a re-insertion of every
+        survivor.
         """
         self._stats.forgets += 1
-        victim_ops = set(self._declared[tx_id].operations)
-        history = self._engine.history
-        first = next(
-            (i for i, op in enumerate(history) if op in victim_ops), None
-        )
-        if first is None:
-            return
-        survivors = [op for op in history if op not in victim_ops]
-        popped: list[Operation] = []
-        while len(self._engine) > first:
-            popped.append(self._engine.pop())
-        popped.reverse()
-        for op in popped:
-            if op in victim_ops:
-                continue
-            if not self._engine.try_push(op):  # pragma: no cover
-                # Provably unreachable (survivor arcs are a subset of an
-                # acyclic graph's); kept as a defensive fallback.
-                self._stats.fallback_rebuilds += 1
-                self.rebuild(list(self._declared.values()), survivors)
-                return
-            self._stats.replayed += 1
+        engine = self._engine
+        self._stats.replayed += engine.forget(tx_id)
+        if not engine.acyclic:  # pragma: no cover - provably unreachable
+            self._stats.fallback_rebuilds += 1
+            self.rebuild(list(self._declared.values()), list(engine.history))
 
     def rebuild(
         self,

@@ -1,5 +1,7 @@
 """Unit tests for atomic units and relative atomicity specifications."""
 
+import itertools
+
 import pytest
 
 from repro.core.atomicity import Atomicity, AtomicUnit, RelativeAtomicitySpec
@@ -186,3 +188,103 @@ class TestRelativeAtomicitySpec:
         rendered = fig1.spec.render()
         assert "Atomicity(T1, T2): r1[x] w1[x] | w1[z] r1[y]" in rendered
         assert rendered.count("Atomicity(") == 6
+
+
+class TestDeclareTransaction:
+    """A spec grown one ``declare_transaction`` at a time answers exactly
+    like one built at construction time with the views the declared cut
+    sets induce, whatever the arrival order."""
+
+    PROGRAMS = {
+        1: ("r[x] w[x] w[z] r[y]", (2,)),
+        2: ("r[y] w[y] r[x]", (1, 2)),
+        3: ("w[z] r[x]", ()),
+        4: ("r[z]", ()),
+    }
+
+    @classmethod
+    def _transactions(cls):
+        return {
+            tx_id: Transaction.from_notation(tx_id, text)
+            for tx_id, (text, _) in cls.PROGRAMS.items()
+        }
+
+    @classmethod
+    def _built(cls):
+        txs = cls._transactions()
+        views = {
+            (tx_id, observer): cuts
+            for tx_id, (_, cuts) in cls.PROGRAMS.items()
+            for observer in txs
+            if observer != tx_id and cuts
+        }
+        return RelativeAtomicitySpec(list(txs.values()), views)
+
+    @staticmethod
+    def _assert_same(grown, built):
+        assert grown.pairs() == built.pairs()
+        for tx_id, observer in built.pairs():
+            assert grown.atomicity(tx_id, observer) == built.atomicity(
+                tx_id, observer
+            )
+            for op in built.transactions[tx_id].operations:
+                assert grown.push_forward(op, observer) == built.push_forward(
+                    op, observer
+                )
+                assert grown.pull_backward(
+                    op, observer
+                ) == built.pull_backward(op, observer)
+        assert grown.render() == built.render()
+
+    @pytest.mark.parametrize(
+        "order", list(itertools.permutations(PROGRAMS))[::5]
+    )
+    def test_growth_matches_construction(self, order):
+        txs = self._transactions()
+        grown = RelativeAtomicitySpec([])
+        for tx_id in order:
+            grown.declare_transaction(txs[tx_id], self.PROGRAMS[tx_id][1])
+            # Reading views mid-growth must not freeze them against
+            # observers that arrive later.
+            for pair in grown.pairs():
+                grown.atomicity(*pair)
+        built = self._built()
+        self._assert_same(grown, built)
+        for tx_id, (_, cuts) in self.PROGRAMS.items():
+            assert grown.declared_cuts(tx_id) == cuts
+
+    @pytest.mark.parametrize("keep", [(1, 2), (2, 3, 4), (1, 3, 4)])
+    def test_restriction_carries_declared_cuts(self, keep):
+        txs = self._transactions()
+        grown = RelativeAtomicitySpec([])
+        for tx_id in (4, 2, 1, 3):
+            grown.declare_transaction(txs[tx_id], self.PROGRAMS[tx_id][1])
+        # Restrict before any view is read: the restricted spec must
+        # derive its views from the carried cut sets.
+        restricted = grown.restricted_to(keep)
+        self._assert_same(restricted, self._built().restricted_to(keep))
+        for tx_id in keep:
+            assert restricted.declared_cuts(tx_id) == self.PROGRAMS[tx_id][1]
+
+    def test_grows_a_construction_time_spec(self, t1, t2):
+        spec = RelativeAtomicitySpec([t1, t2], {(1, 2): [2]})
+        t3 = Transaction.from_notation(3, "w[x] r[y]")
+        spec.declare_transaction(t3, [1])
+        assert spec.atomicity(1, 2).breakpoints == {2}
+        assert spec.atomicity(1, 3).is_absolute
+        assert spec.atomicity(2, 3).is_absolute
+        assert spec.atomicity(3, 1).breakpoints == {1}
+        assert spec.atomicity(3, 2).breakpoints == {1}
+
+    @pytest.mark.parametrize("cut", [0, 3, -1])
+    def test_out_of_range_cut_raises_at_declare_time(self, t1, cut):
+        spec = RelativeAtomicitySpec([t1])
+        t2 = Transaction.from_notation(2, "r[y] w[y] r[x]")
+        with pytest.raises(InvalidSpecError):
+            spec.declare_transaction(t2, [1, cut])
+        assert 2 not in spec.transactions
+
+    def test_duplicate_declaration_raises(self, t1):
+        spec = RelativeAtomicitySpec([t1])
+        with pytest.raises(InvalidSpecError):
+            spec.declare_transaction(t1)

@@ -1,10 +1,14 @@
 """Tests for the prefix-extension APIs: ``Schedule.prefix``,
 ``RelativeSerializationGraph.extended_with`` and ``IncrementalRsg``."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, given, settings
 
+from repro.core.atomicity import RelativeAtomicitySpec
 from repro.core.dependency import DependencyRelation
-from repro.core.rsg import IncrementalRsg, RelativeSerializationGraph
+from repro.core.operations import read, write
+from repro.core.rsg import ArcKind, IncrementalRsg, RelativeSerializationGraph
 from repro.core.schedules import Schedule
 from repro.core.transactions import Transaction
 from repro.errors import GraphError, InvalidScheduleError
@@ -150,3 +154,147 @@ class TestIncrementalRsg:
         dependency = engine.dependency_for(schedule)
         scratch = DependencyRelation(schedule)
         assert list(dependency.pairs()) == list(scratch.pairs())
+
+
+@st.composite
+def _forget_scenarios(draw):
+    """Three or four transactions over three objects with random cuts,
+    plus a script of grants and restarts."""
+    transactions = []
+    for tx_id in range(1, draw(st.integers(3, 4)) + 1):
+        ops = [
+            (write if draw(st.booleans()) else read)(
+                draw(st.sampled_from("xyz"))
+            )
+            for _ in range(draw(st.integers(1, 3)))
+        ]
+        transactions.append(Transaction(tx_id, ops))
+    views = {
+        (tx.tx_id, other.tx_id): [
+            cut for cut in range(1, len(tx)) if draw(st.booleans())
+        ]
+        for tx in transactions
+        for other in transactions
+        if tx is not other
+    }
+    actions = draw(st.lists(st.integers(0, 30), min_size=5, max_size=40))
+    return transactions, RelativeAtomicitySpec(transactions, views), actions
+
+
+def _assert_matches_scratch(engine, txs, spec):
+    """Arcs and ``depends-on`` of the engine's prefix equal scratch ones."""
+    schedule = Schedule.prefix(txs, engine.history)
+    scratch = DependencyRelation(schedule)
+    assert list(engine.dependency_for(schedule).pairs()) == list(
+        scratch.pairs()
+    )
+    oracle = RelativeSerializationGraph(schedule, spec)
+    assert oracle.is_acyclic
+    assert _edge_set(engine.graph) == _edge_set(oracle.graph)
+
+
+class TestForget:
+    @given(_forget_scenarios())
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_forget_matches_scratch_dependency_and_arcs(self, scenario):
+        """After every forget the maintained ``depends-on`` equals a
+        scratch DependencyRelation and the arcs the offline RSG; popping
+        the result back to empty matches the oracle at every prefix, so
+        kept and re-pushed undo batches stay exact."""
+        txs, spec, actions = scenario
+        engine = IncrementalRsg(spec, maintain_reach=True)
+        for tx in txs:
+            engine.add_transaction(tx)
+        cursor = dict.fromkeys((tx.tx_id for tx in txs), 0)
+        programs = {tx.tx_id: tx.operations for tx in txs}
+        for action in actions:
+            tx_id = txs[action % len(txs)].tx_id
+            if action % 6 == 0 or cursor[tx_id] == len(programs[tx_id]):
+                before = list(engine.history)
+                victim_ops = [op for op in before if op.tx == tx_id]
+                dependency = DependencyRelation(Schedule.prefix(txs, before))
+                dependents = [
+                    op
+                    for op in before
+                    if op.tx != tx_id
+                    and any(dependency.depends_on(op, v) for v in victim_ops)
+                ]
+                assert engine.forget(tx_id) == len(dependents)
+                assert engine.history == [
+                    op for op in before if op.tx != tx_id
+                ]
+                cursor[tx_id] = 0
+                _assert_matches_scratch(engine, txs, spec)
+                continue
+            if engine.try_push(programs[tx_id][cursor[tx_id]]):
+                cursor[tx_id] += 1
+            else:
+                engine.forget(tx_id)
+                cursor[tx_id] = 0
+                _assert_matches_scratch(engine, txs, spec)
+        while len(engine):
+            engine.pop()
+            _assert_matches_scratch(engine, txs, spec)
+
+    def test_repushed_dependent_widens_a_kept_arc(self):
+        """A dependent's B-arc lands on an arc its transaction's kept
+        operation created (as an F-arc): the re-push widens the mask and
+        popping the dependent narrows it back."""
+        txs = [
+            Transaction.from_notation(1, "w[y]"),
+            Transaction.from_notation(2, "w[x] w[y]"),
+            Transaction.from_notation(3, "r[x] r[y] w[z]"),
+        ]
+        # T3 relative to T2 is cut before w3[z], so r3[x] r3[y] stay one
+        # unit and PullBackward(r3[y], T2) is the kept r3[x].
+        spec = RelativeAtomicitySpec(txs, {(3, 2): [2], (2, 1): [1]})
+        w1y = txs[0][0]
+        w2x, w2y = txs[1].operations
+        r3x, r3y = txs[2][0], txs[2][1]
+        engine = IncrementalRsg(spec, maintain_reach=True)
+        for tx in txs:
+            engine.add_transaction(tx)
+        for op in (w1y, w2x, r3x, w2y, r3y):
+            assert engine.try_push(op)
+        # w2[x] and r3[x] never depended on w1[y]; w2[y] and r3[y] did.
+        assert engine.forget(1) == 2
+        assert engine.history == [w2x, r3x, w2y, r3y]
+        _assert_matches_scratch(engine, txs, spec)
+        assert engine.graph.edge_labels(w2y, r3x) == {
+            ArcKind.PUSH_FORWARD, ArcKind.PULL_BACKWARD
+        }
+        assert engine.pop() is r3y
+        # r3[x]'s kept F-arc survives the dependent's undo, B-bit gone.
+        assert engine.graph.edge_labels(w2y, r3x) == {ArcKind.PUSH_FORWARD}
+        _assert_matches_scratch(engine, txs, spec)
+        while len(engine):
+            engine.pop()
+            _assert_matches_scratch(engine, txs, spec)
+
+    def test_forget_of_an_absent_transaction_is_a_no_op(self):
+        txs, spec = _figure2_like()
+        engine = IncrementalRsg(spec)
+        for tx in txs:
+            engine.add_transaction(tx)
+        assert engine.try_push(txs[0][0])
+        assert engine.forget(2) == 0
+        assert engine.history == [txs[0][0]]
+
+    def test_forget_refuses_a_cyclic_prefix(self):
+        txs = [
+            Transaction.from_notation(1, "r[x] w[x]"),
+            Transaction.from_notation(2, "r[x] w[x]"),
+        ]
+        engine = IncrementalRsg(absolute_spec(txs))
+        for tx in txs:
+            engine.add_transaction(tx)
+        for op in (txs[0][0], txs[1][0], txs[0][1]):
+            assert engine.try_push(op)
+        assert not engine.try_push(txs[1][1])
+        engine.push_uncertified(txs[1][1])
+        with pytest.raises(GraphError):
+            engine.forget(1)

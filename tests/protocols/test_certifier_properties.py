@@ -2,19 +2,22 @@
 
 Drives :class:`~repro.protocols.certifier.RsgCertifier` through random
 admit/grant/restart sequences (including the abort-and-retry path that
-exercises ``forget``'s suffix replay) and checks, after every event,
-that the certifier's state is exactly what rebuilding the relative
-serialization graph from scratch over the granted prefix would give:
+exercises ``forget``) and checks, after every event, that the
+certifier's state is exactly what rebuilding the relative serialization
+graph from scratch over the granted prefix would give:
 
 * same labelled arc set,
 * grant/reject decisions match offline RSG acyclicity (Theorem 1),
-* ``forget`` drops exactly the victim's operations, preserving order.
+* ``forget`` drops exactly the victim's operations, preserving order,
+  and re-pushes exactly the survivors that depend on a victim operation
+  (``stats.replayed``), counted by an offline ``DependencyRelation``.
 """
 
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
 from repro.core.atomicity import RelativeAtomicitySpec
+from repro.core.dependency import DependencyRelation
 from repro.core.operations import read, write
 from repro.core.rsg import RelativeSerializationGraph
 from repro.core.schedules import Schedule
@@ -73,6 +76,27 @@ def _assert_matches_oracle(certifier, transactions, spec):
     assert _edge_set(certifier.graph) == _edge_set(oracle.graph)
 
 
+def _victim_dependents(transactions, history, victim):
+    """Survivors of ``history`` that depend on an operation of ``victim``."""
+    dependency = DependencyRelation(Schedule.prefix(transactions, history))
+    victim_ops = [op for op in history if op.tx == victim]
+    return sum(
+        1
+        for op in history
+        if op.tx != victim
+        and any(dependency.depends_on(op, v) for v in victim_ops)
+    )
+
+
+def _forget(certifier, transactions, tx_id):
+    """``certifier.forget(tx_id)``, pinning its work: it re-pushes the
+    victim's dependents and no other survivor."""
+    expected = _victim_dependents(transactions, certifier.history, tx_id)
+    before = certifier.stats.replayed
+    certifier.forget(tx_id)
+    assert certifier.stats.replayed - before == expected
+
+
 @given(scenarios())
 @_SETTINGS
 def test_certifier_agrees_with_offline_rsg(scenario):
@@ -87,11 +111,11 @@ def test_certifier_agrees_with_offline_rsg(scenario):
     for action in actions:
         tx_id = tx_ids[action % len(tx_ids)]
         if action % 7 == 0 and cursor[tx_id] > 0:
-            # Voluntary restart: exercises forget's suffix replay on a
-            # victim with granted operations anywhere in the history.
+            # Voluntary restart: exercises forget on a victim with
+            # granted operations anywhere in the history.
             history_before = certifier.history
             victim_ops = set(programs[tx_id])
-            certifier.forget(tx_id)
+            _forget(certifier, transactions, tx_id)
             expected = tuple(
                 op for op in history_before if op not in victim_ops
             )
@@ -114,12 +138,12 @@ def test_certifier_agrees_with_offline_rsg(scenario):
             # Protocol behaviour: rejection is final, the requester
             # aborts and restarts from its first operation.
             assert certifier.last_rejected_cycle is not None
-            certifier.forget(tx_id)
+            _forget(certifier, transactions, tx_id)
             cursor[tx_id] = 0
         _assert_matches_oracle(certifier, transactions, spec)
 
-    # The defensive rebuild path must never have fired: forget-replay
-    # is provably infallible.
+    # The defensive rebuild path must never have fired: forget's
+    # re-pushes are provably infallible.
     assert certifier.stats.fallback_rebuilds == 0
 
 
@@ -142,7 +166,7 @@ def test_forget_equals_fresh_certifier(scenario):
             break
         cursor[tx_id] += 1
     victim = tx_ids[actions[0] % len(tx_ids)]
-    certifier.forget(victim)
+    _forget(certifier, transactions, victim)
     fresh = RsgCertifier(spec)
     for transaction in transactions:
         fresh.declare(transaction)
@@ -176,7 +200,7 @@ def test_churn_reuses_node_ids_and_matches_oracle(scenario):
         if action % 5 == 0:
             # Full retirement round-trip: the victim's node ids go to
             # the freelist and the redeclare must get them back.
-            certifier.forget(tx_id)
+            _forget(certifier, transactions, tx_id)
             certifier.undeclare(tx_id)
             cursor[tx_id] = 0
             assert all(op.tx != tx_id for op in certifier.history)
@@ -198,7 +222,7 @@ def test_churn_reuses_node_ids_and_matches_oracle(scenario):
         if granted:
             cursor[tx_id] += 1
         else:
-            certifier.forget(tx_id)
+            _forget(certifier, transactions, tx_id)
             cursor[tx_id] = 0
         _assert_matches_oracle(certifier, transactions, spec)
 

@@ -11,6 +11,8 @@ import json
 
 import pytest
 
+from repro.cli import _render_top
+from repro.service import wire
 from repro.service.client import ServiceClient, ServiceError
 
 from tests.service.util import running_server
@@ -99,6 +101,25 @@ class TestInspect:
                 assert rsg["nodes"] >= 1
                 assert set(rsg["arcs"]) == {"I", "D", "F", "B"}
                 assert rsg["certified"] >= 1
+                assert rsg["forgets"] == 0 and rsg["replayed"] == 0
+
+                # r_a r_b w_a: w_b would close an RSG cycle, so T_b
+                # aborts; w_a depends on r_b and is the one re-push.
+                a = (await client.begin("r[x] w[x]", tenant="r"))["txn"]
+                b = (await client.begin("r[x] w[x]", tenant="r"))["txn"]
+                await client.read(a)
+                await client.read(b)
+                await client.write(a)
+                with pytest.raises(ServiceError) as exc_info:
+                    await client.write(b)
+                assert exc_info.value.code == wire.ERR_ABORTED
+                await client.commit(a)
+                response = await client.inspect("r")
+                rsg = response["tenants"]["r"]["rsg"]
+                assert rsg["forgets"] == 1
+                assert rsg["replayed"] == 1
+                assert rsg["rejected"] == 1
+                assert "forgets=1 replayed=1" in _render_top(response)
                 await client.close()
 
         asyncio.run(scenario())
